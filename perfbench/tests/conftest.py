@@ -1,0 +1,14 @@
+"""Make ``cellbench`` and the library importable for the benchmark's tests.
+
+Run from the checkout root with ``python3 -m pytest perfbench/tests -q``.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent
+for path in (PERFBENCH, PERFBENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
