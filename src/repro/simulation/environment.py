@@ -9,6 +9,11 @@ break the paper's system model:
   bookkeeping only),
 * no clock (times are recorded engine-side),
 * no topology or channel access beyond the anonymous ``broadcast``.
+
+A pickled environment leaves its engine behind (see
+:meth:`ProcessEnvironment.__reduce__`): a finished run's processes cross a
+process boundary with their state, not with the network, queue and
+detectors that drove them.
 """
 
 from __future__ import annotations
@@ -23,6 +28,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .engine import SimulationEngine
 
 
+class _DetachedEngine:
+    """Stands in for the engine of an environment unpickled after its run."""
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("__"):
+            raise AttributeError(name)
+        raise RuntimeError(
+            "this process environment was unpickled from a finished run and "
+            f"has no engine (protocol code called into it: {name!r}); only "
+            "live runs can broadcast, read detectors or report deliveries"
+        )
+
+
+_DETACHED = _DetachedEngine()
+
+
+def _detached(index: int, rng: random.Random) -> "ProcessEnvironment":
+    """Unpickle a :class:`ProcessEnvironment` without an engine."""
+    env = ProcessEnvironment.__new__(ProcessEnvironment)
+    env._index = index
+    env._engine = _DETACHED
+    env._random = rng
+    return env
+
+
 class ProcessEnvironment:
     """Anonymous runtime environment of one simulated process."""
 
@@ -30,6 +60,12 @@ class ProcessEnvironment:
         self._index = index
         self._engine = engine
         self._random = engine.random_source.for_process(index)
+
+    def __reduce__(self) -> tuple:
+        # Only the index and the process's random substream travel: the
+        # engine (network, event queue, detectors, batch consumers) stays
+        # with the run that owned it.
+        return _detached, (self._index, self._random)
 
     # ------------------------------------------------------------------ #
     # EnvironmentAPI

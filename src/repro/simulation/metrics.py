@@ -5,6 +5,9 @@ While :class:`repro.simulation.tracing.TraceRecorder` keeps a full event log,
 experiment harness reports directly: messages sent/dropped/received by
 payload kind, per-process send counts, delivery latencies and a cumulative
 send timeline (the raw material for the quiescence figures).
+
+Like the trace, a pickled collector carries its send timeline as two flat
+columns and rebuilds the pair list only when something first reads it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .columns import pack
 from .simtime import SimTime
 
 
@@ -123,6 +127,27 @@ class MetricsCollector:
         self.last_send_time: Optional[SimTime] = None
         self.final_time: SimTime = 0.0
         self._deliveries: int = 0
+
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        # An unpickled collector whose timeline was never read re-emits
+        # its columns as they are.
+        timeline = state.pop("send_timeline", None)
+        if timeline is not None:
+            state["_timeline_columns"] = (
+                pack([time for time, _ in timeline], float),
+                pack([count for _, count in timeline], int),
+            )
+        return state
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only when normal lookup fails: never on a live collector.
+        if name == "send_timeline":
+            columns = self.__dict__.pop("_timeline_columns", None)
+            if columns is not None:
+                timeline = self.send_timeline = list(zip(*columns))
+                return timeline
+        raise AttributeError(name)
 
     def _refresh_flags(self) -> None:
         self.active = self._level > MetricsLevel.OFF

@@ -6,14 +6,21 @@ sends, drops, channel deliveries, URB-deliveries, crashes, broadcasts and
 retransmission rounds.  The analysis layer (``repro.analysis``) is written
 entirely against traces, which keeps property checking independent from the
 protocol implementations being checked.
+
+A pickled recorder carries its events as flat columns (see
+:meth:`TraceRecorder.__getstate__`) and rebuilds the event list only when
+something first reads it, so shipping a finished run's trace across a
+process boundary costs a few arrays rather than one object per event.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
+from .columns import pack
 from .simtime import SimTime
 
 
@@ -98,6 +105,96 @@ class TraceEvent:
         return self.details.get(key, default)
 
 
+#: Category codes of the columnar (pickled) trace form: index in this tuple.
+_CATEGORIES = tuple(TraceCategory)
+_CATEGORY_CODES = {category: code for code, category in enumerate(_CATEGORIES)}
+
+
+def _to_columns(events: list[TraceEvent]) -> Optional[tuple]:
+    """Flatten *events* into ``(times, category codes, processes, schemas,
+    schema ids, values)``, or ``None`` if they do not fit that form.
+
+    A *schema* is one details-key tuple, interned; ``values`` concatenates
+    every event's details values, each event taking as many as its schema
+    has keys.  Only plain :class:`TraceEvent` objects with ``dict`` details are
+    flattened, so :func:`_from_columns` rebuilds equal events of the same
+    types.
+    """
+    schemas: dict[tuple[str, ...], int] = {}
+    schema_ids = []
+    values: list[Any] = []
+    for event in events:
+        details = event.details
+        if type(event) is not TraceEvent or type(details) is not dict:
+            return None
+        keys = tuple(details)
+        schema_id = schemas.get(keys)
+        if schema_id is None:
+            schema_id = schemas[keys] = len(schemas)
+        schema_ids.append(schema_id)
+        values.extend(details.values())
+    return (
+        pack([event.time for event in events], float),
+        bytes([_CATEGORY_CODES[event.category] for event in events]),
+        pack([event.process for event in events], int),
+        tuple(schemas),
+        pack(schema_ids, int),
+        values,
+    )
+
+
+def _from_columns(columns: tuple) -> list[TraceEvent]:
+    """Rebuild the event list :func:`_to_columns` flattened."""
+    times, codes, processes, schemas, schema_ids, values = columns
+    widths = [len(keys) for keys in schemas]
+    categories = _CATEGORIES
+    events = []
+    append = events.append
+    start = 0
+    for time, code, process, schema_id in zip(times, codes, processes,
+                                              schema_ids):
+        end = start + widths[schema_id]
+        append(TraceEvent(time, categories[code], process,
+                          dict(zip(schemas[schema_id], values[start:end]))))
+        start = end
+    return events
+
+
+_PLAIN_TYPES = (str, int, float, bool, type(None), bytes)
+
+
+def _canonical_repr(value: Any, memo: dict[int, str]) -> str:
+    """``repr`` of *value* with every set's members in sorted order.
+
+    A set's iteration order depends on its insertion history, which a
+    pickle round trip does not preserve; sorting the members' canonical
+    forms makes the text a function of the value alone.  Tuples and
+    dataclasses (the wire payloads) are expanded item by item so sets
+    nested inside them are reached too.  *memo* caches the text of shared objects by identity;
+    it must not outlive the objects it was filled from.
+    """
+    if type(value) in _PLAIN_TYPES:
+        return repr(value)
+    key = id(value)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    if isinstance(value, (set, frozenset)):
+        members = sorted(_canonical_repr(item, memo) for item in value)
+        text = f"{type(value).__name__}({{{', '.join(members)}}})"
+    elif type(value) is tuple:
+        items = [_canonical_repr(item, memo) for item in value]
+        text = f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        text = f"{type(value).__qualname__}(" + ", ".join(
+            f"{f.name}={_canonical_repr(getattr(value, f.name), memo)}"
+            for f in dataclasses.fields(value) if f.repr) + ")"
+    else:
+        text = repr(value)
+    memo[key] = text
+    return text
+
+
 class TraceRecorder:
     """Accumulates :class:`TraceEvent` records in arrival order.
 
@@ -128,6 +225,32 @@ class TraceRecorder:
         self.channel_active: bool = False
         self.protocol_active: bool = False
         self._refresh_flags()
+
+    # ------------------------------------------------------------------ #
+    # pickling: flat columns, events rebuilt on first read
+    # ------------------------------------------------------------------ #
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        # A recorder unpickled and never read still holds its columns (and
+        # no "_events"): it re-emits them as they are.
+        events = state.pop("_events", None)
+        if events is not None:
+            columns = _to_columns(events)
+            if columns is None:
+                state["_events"] = events
+            else:
+                state["_columns"] = columns
+        return state
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails, so the live recorder's
+        # record()/append path never comes here.
+        if name == "_events":
+            columns = self.__dict__.pop("_columns", None)
+            if columns is not None:
+                events = self._events = _from_columns(columns)
+                return events
+        raise AttributeError(name)
 
     def _refresh_flags(self) -> None:
         active = self._enabled and self._level > TraceLevel.OFF
@@ -268,21 +391,22 @@ class TraceRecorder:
 
         Two runs are considered bit-identical when their digests match; the
         determinism parity tests compare digests across hot-path
-        configurations (see tests/unit/test_determinism_parity.py).
+        configurations (see tests/unit/test_determinism_parity.py).  Set
+        values (the label sets of Algorithm 2's ACKs) are hashed with their
+        members sorted, so the digest also survives a pickle round trip.
         """
         import hashlib
 
         h = hashlib.sha256()
+        memo: dict[int, str] = {}
         for event in self._events:
+            details = ", ".join(
+                f"({key!r}, {_canonical_repr(value, memo)})"
+                for key, value in sorted(event.details.items())
+            )
             h.update(
-                repr(
-                    (
-                        event.time,
-                        event.category.value,
-                        event.process,
-                        sorted(event.details.items()),
-                    )
-                ).encode("utf-8")
+                f"({event.time!r}, {event.category.value!r}, "
+                f"{event.process!r}, [{details}])".encode("utf-8")
             )
         return h.hexdigest()
 

@@ -1001,7 +1001,7 @@ class VectorizedEngine(SimulationEngine):
             is_msg = kinds == PayloadInterner.KIND_MSG
             processes = self.processes
             for k in msg_idx.tolist():
-                self._now = run_times[k]
+                self._now = float(run_times[k])
                 if is_msg[k]:
                     consumers[int(run_dsts[k])].handle_msg(
                         payloads[run_pids[k]], k

@@ -234,26 +234,48 @@ class TestFailureIsolation:
                 suite.run(fail_fast=True)
 
 
+def full_fingerprint(result) -> tuple:
+    """Everything a run observed: the export summary, the trace event by
+    event and its digest, the delivery logs with tags, the send timeline."""
+    simulation = result.simulation
+    return (
+        result_fingerprint(result),
+        list(simulation.trace),
+        simulation.trace.digest(),
+        {index: list(log) for index, log in simulation.delivery_logs.items()},
+        list(simulation.metrics.send_timeline),
+    )
+
+
 class TestParallelExecution:
-    def suite(self) -> ScenarioSuite:
+    def suite(self, **overrides) -> ScenarioSuite:
         base = fast_scenario(algorithm="algorithm2", n_processes=4,
                              loss=LossSpec.bernoulli(0.2),
                              stop_when_all_correct_delivered=False,
                              stop_when_quiescent=True,
-                             max_time=60.0)
+                             max_time=60.0, **overrides)
         return (ScenarioSuite("cmp")
                 .add_sweep(base, "loss",
                            [LossSpec.none(), LossSpec.bernoulli(0.3)])
                 .with_seeds(2))
 
-    def test_parallel_results_byte_identical_to_sequential(self):
-        sequential = self.suite().run(parallel=1)
-        parallel = self.suite().run(parallel=4)
+    def assert_parallel_matches_sequential(self, **overrides) -> list:
+        sequential = self.suite(**overrides).run(parallel=1)
+        parallel = self.suite(**overrides).run(parallel=4)
         assert sequential.ok and parallel.ok
         assert parallel.parallel > 1
-        sequential_bytes = [result_fingerprint(r) for r in sequential.results]
-        parallel_bytes = [result_fingerprint(r) for r in parallel.results]
-        assert sequential_bytes == parallel_bytes
+        expected = [full_fingerprint(r) for r in sequential.results]
+        assert [full_fingerprint(r) for r in parallel.results] == expected
+        return expected
+
+    def test_parallel_results_byte_identical_to_sequential(self):
+        # The reference engine at the default FULL trace level.
+        fingerprints = self.assert_parallel_matches_sequential()
+        assert all(trace for _, trace, *_rest in fingerprints)
+
+    def test_parallel_untraced_vectorized_results_identical_to_sequential(self):
+        self.assert_parallel_matches_sequential(engine="vectorized",
+                                                trace_enabled=False)
 
     def test_parallel_progress_counts_monotonic(self):
         calls = []
